@@ -1,12 +1,13 @@
-// The `avx512` kernel. Following Sec. V-A of the paper, this version
-//  * uses 512-bit wide FMA intrinsics for the surplus accumulation,
-//  * parallelizes *inside* the kernel with OpenMP (the KNL target has many
-//    small cores and little cache per core, so the high-level TBB-style
-//    work distribution is replaced by an intra-kernel reduction),
-//  * performs the reduction over per-thread partial vector sums, and
-//  * treats all-zero partial sums specially so they "initiate no actual
-//    memory flow" — a thread that never produced a contribution neither
-//    zeroes nor merges its partial buffer.
+// The `avx512` kernel: like `avx2` but accumulates with 512-bit FMA
+// intrinsics, eight degrees of freedom per instruction, and handles the
+// `ndofs % 8` tail with a masked load/FMA/store instead of a scalar loop.
+//
+// The paper's KNL version (Sec. V-A) also splits the point walk across an
+// intra-kernel OpenMP team. This kernel does not: evaluate() walks every
+// point on the calling thread, so its result does not depend on any team
+// size and it is safe to call from many threads at once. The parallelism
+// comes from the work-stealing pool and the device dispatcher, which call
+// evaluate() concurrently (see DESIGN.md, Substitutions).
 #include <immintrin.h>
 
 #include <algorithm>
@@ -14,7 +15,6 @@
 
 #include "kernels/kernels_internal.hpp"
 #include "sparse_grid/basis.hpp"
-#include "util/aligned.hpp"
 
 namespace hddm::kernels::detail {
 
@@ -28,40 +28,20 @@ class Avx512Kernel final : public InterpolationKernel {
   [[nodiscard]] int dim() const override { return grid_.dim; }
   [[nodiscard]] int ndofs() const override { return grid_.ndofs; }
 
-  void evaluate(const double* x, double* value) const override {
+  __attribute__((target("avx512f"))) void evaluate(const double* x,
+                                                   double* value) const override {
     thread_local std::vector<double> xpv;
     xpv.resize(grid_.xps.size());
     compute_xpv(grid_, x, xpv.data());
 
     const int nd = grid_.ndofs;
-    std::fill(value, value + nd, 0.0);
-
-#pragma omp parallel
-    {
-      thread_local util::aligned_vector<double> partial;
-      partial.resize(static_cast<std::size_t>(nd));
-      bool dirty = false;
-      accumulate_range(xpv.data(), partial.data(), dirty);
-      if (dirty) {
-#pragma omp critical(hddm_avx512_merge)
-        merge_partial(value, partial.data());
-      }
-    }
-  }
-
- private:
-  /// Walks this thread's static share of the points, accumulating into
-  /// `partial` (zeroed lazily on first contribution).
-  __attribute__((target("avx512f"))) void accumulate_range(const double* xpv, double* partial,
-                                                           bool& dirty) const {
-    const int nd = grid_.ndofs;
     const int nfreq = grid_.nfreq;
     const int nd8 = nd & ~7;
     const __mmask8 tail_mask = static_cast<__mmask8>((1u << (nd - nd8)) - 1u);
+    std::fill(value, value + nd, 0.0);
 
-#pragma omp for schedule(static) nowait
-    for (std::int64_t p = 0; p < static_cast<std::int64_t>(grid_.nno); ++p) {
-      const std::uint32_t* chain = grid_.chain_row(static_cast<std::uint32_t>(p));
+    const std::uint32_t* chain = grid_.chains.data();
+    for (std::uint32_t p = 0; p < grid_.nno; ++p, chain += nfreq) {
       double temp = 1.0;
       for (int f = 0; f < nfreq; ++f) {
         const std::uint32_t idx = chain[f];
@@ -71,44 +51,23 @@ class Avx512Kernel final : public InterpolationKernel {
       }
       if (temp == 0.0) continue;
 
-      if (!dirty) {
-        std::fill(partial, partial + nd, 0.0);
-        dirty = true;
-      }
-      const double* srow = grid_.surplus_row(static_cast<std::uint32_t>(p));
+      const double* srow = grid_.surplus_row(p);
       const __m512d vtemp = _mm512_set1_pd(temp);
       int dof = 0;
       for (; dof < nd8; dof += 8) {
-        const __m512d acc = _mm512_load_pd(partial + dof);
+        const __m512d acc = _mm512_loadu_pd(value + dof);
         const __m512d s = _mm512_loadu_pd(srow + dof);
-        _mm512_store_pd(partial + dof, _mm512_fmadd_pd(vtemp, s, acc));
+        _mm512_storeu_pd(value + dof, _mm512_fmadd_pd(vtemp, s, acc));
       }
       if (dof < nd) {
-        const __m512d acc = _mm512_maskz_loadu_pd(tail_mask, partial + dof);
+        const __m512d acc = _mm512_maskz_loadu_pd(tail_mask, value + dof);
         const __m512d s = _mm512_maskz_loadu_pd(tail_mask, srow + dof);
-        _mm512_mask_storeu_pd(partial + dof, tail_mask, _mm512_fmadd_pd(vtemp, s, acc));
+        _mm512_mask_storeu_pd(value + dof, tail_mask, _mm512_fmadd_pd(vtemp, s, acc));
       }
     }
   }
 
-  __attribute__((target("avx512f"))) void merge_partial(double* value,
-                                                        const double* partial) const {
-    const int nd = grid_.ndofs;
-    const int nd8 = nd & ~7;
-    const __mmask8 tail_mask = static_cast<__mmask8>((1u << (nd - nd8)) - 1u);
-    int dof = 0;
-    for (; dof < nd8; dof += 8) {
-      const __m512d acc = _mm512_loadu_pd(value + dof);
-      const __m512d s = _mm512_load_pd(partial + dof);
-      _mm512_storeu_pd(value + dof, _mm512_add_pd(acc, s));
-    }
-    if (dof < nd) {
-      const __m512d acc = _mm512_maskz_loadu_pd(tail_mask, value + dof);
-      const __m512d s = _mm512_maskz_loadu_pd(tail_mask, partial + dof);
-      _mm512_mask_storeu_pd(value + dof, tail_mask, _mm512_add_pd(acc, s));
-    }
-  }
-
+ private:
   const core::CompressedGridData& grid_;
 };
 

@@ -172,26 +172,31 @@ TEST(Kernels, ThreadSafeConcurrentEvaluation) {
   // CPU kernels must be callable from many threads at once (the Fig. 2
   // worker pool does exactly that).
   const GridFixture fx(4, 3, 8, 55);
-  const auto kernel = make_kernel(KernelKind::X86, &fx.dense, &fx.compressed);
   const auto gold = make_kernel(KernelKind::Gold, &fx.dense, &fx.compressed);
 
-  std::vector<std::thread> threads;
-  std::atomic<int> failures{0};
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      util::Rng rng(100 + t);
-      std::vector<double> value(8), expected(8);
-      for (int trial = 0; trial < 200; ++trial) {
-        const std::vector<double> x = rng.uniform_point(4);
-        kernel->evaluate(x.data(), value.data());
-        gold->evaluate(x.data(), expected.data());
-        for (int dof = 0; dof < 8; ++dof)
-          if (std::fabs(value[dof] - expected[dof]) > 1e-12) failures.fetch_add(1);
-      }
-    });
+  for (const KernelKind kind :
+       {KernelKind::X86, KernelKind::Avx, KernelKind::Avx2, KernelKind::Avx512}) {
+    if (!kernel_supported(kind)) continue;
+    const auto kernel = make_kernel(kind, &fx.dense, &fx.compressed);
+
+    std::vector<std::thread> threads;
+    std::atomic<int> failures{0};
+    for (int t = 0; t < 4; ++t) {
+      threads.emplace_back([&, t] {
+        util::Rng rng(100 + t);
+        std::vector<double> value(8), expected(8);
+        for (int trial = 0; trial < 200; ++trial) {
+          const std::vector<double> x = rng.uniform_point(4);
+          kernel->evaluate(x.data(), value.data());
+          gold->evaluate(x.data(), expected.data());
+          for (int dof = 0; dof < 8; ++dof)
+            if (std::fabs(value[dof] - expected[dof]) > 1e-12) failures.fetch_add(1);
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(failures.load(), 0) << kernel_name(kind);
   }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(failures.load(), 0);
 }
 
 }  // namespace
